@@ -9,38 +9,24 @@ appearance attributes; relations are out of vocabulary.
 """
 from __future__ import annotations
 
-import time
+from pyspark.sql import DataFrame
 
-from pyspark.sql import functions as F
-
-from repro.baselines.base import Baseline, BaselineResult
+from repro.baselines.base import Baseline
 from repro.baselines.qdscan import qd_scan
-from repro.core.metrics import RankedResult
 from repro.queries.workload import Query
 
 
 class Miris(Baseline):
     name = "miris"
 
-    def query(self, query: Query, *, k: int = 50) -> BaselineResult:
-        t0 = time.perf_counter()
+    def search(self, query: Query) -> DataFrame:
         self.cost.burn("detector_setup", 1.0)  # per-query plan + tuning
-        hits = (
-            qd_scan(
-                self.patches,
-                query,
-                self.cost,
-                cost_field="detector_frame",
-                p_det=0.85,
-                attr_recall=0.7,
-                seed=self.cfg.seed,
-            )
-            .orderBy(F.desc("score"), F.asc("video_id"), F.asc("frame_idx"))
-            .limit(k)
-            .collect()
+        return qd_scan(
+            self.patches,
+            query,
+            self.cost,
+            cost_field="detector_frame",
+            p_det=0.85,
+            attr_recall=0.7,
+            seed=self.cfg.seed,
         )
-        results = [
-            RankedResult(r["video_id"], r["frame_idx"], tuple(r["bbox"]), float(r["score"]))
-            for r in hits
-        ]
-        return BaselineResult(query.qid, results, time.perf_counter() - t0)

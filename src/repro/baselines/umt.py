@@ -23,9 +23,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.baselines.base import Baseline, BaselineResult
+from repro.baselines.base import Baseline
 from repro.baselines.zelda import frame_features
-from repro.core.metrics import RankedResult
 from repro.queries.workload import Query
 
 
@@ -58,8 +57,7 @@ class Umt(Baseline):
         self.processing_time = time.perf_counter() - t0
         return self.processing_time
 
-    def query(self, query: Query, *, k: int = 50) -> BaselineResult:
-        t0 = time.perf_counter()
+    def search(self, query: Query) -> DataFrame:
         q = self.vocab.embed_tags(list(query.tags))
         cost = self.cost
         daily = self.daily_life
@@ -87,15 +85,5 @@ class Umt(Baseline):
                 yield pd.DataFrame(out, columns=["video_id", "frame_idx", "bbox", "score"])
 
         schema = "video_id int, frame_idx int, bbox array<double>, score double"
-        hits = (
-            self.clips.coalesce(1)  # one transformer instance = one GPU
-            .mapInPandas(_attend, schema=schema)
-            .orderBy(F.desc("score"), F.asc("video_id"), F.asc("frame_idx"))
-            .limit(k)
-            .collect()
-        )
-        results = [
-            RankedResult(r["video_id"], r["frame_idx"], tuple(r["bbox"]), float(r["score"]))
-            for r in hits
-        ]
-        return BaselineResult(query.qid, results, time.perf_counter() - t0)
+        # one transformer instance = one GPU
+        return self.clips.coalesce(1).mapInPandas(_attend, schema=schema)

@@ -19,10 +19,8 @@ import zlib
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.baselines.base import Baseline, BaselineResult
-from repro.core.metrics import RankedResult
+from repro.baselines.base import Baseline
 from repro.queries.workload import Query
 from repro.vocab.encoders import _stable_rng
 
@@ -68,8 +66,7 @@ class Visa(Baseline):
         self.processing_time = time.perf_counter() - t0
         return self.processing_time
 
-    def query(self, query: Query, *, k: int = 50) -> BaselineResult:
-        t0 = time.perf_counter()
+    def search(self, query: Query) -> DataFrame:
         cost = self.cost
         qtags = list(query.tags)
         qsalt = zlib.crc32(query.qid.encode())
@@ -114,18 +111,10 @@ class Visa(Baseline):
                     yield pd.DataFrame(out, columns=["video_id", "frame_idx", "bbox", "score"])
 
         schema = "video_id int, frame_idx int, bbox array<double>, score double"
-        hits = (
+        return (
             self.patches.select(
                 "patch_id", "video_id", "frame_idx", "track_id", "is_object", "tags", "bbox"
             )
             .coalesce(1)  # sequential LLM token generation: one instance
             .mapInPandas(_reason, schema=schema)
-            .orderBy(F.desc("score"), F.asc("video_id"), F.asc("frame_idx"))
-            .limit(k)
-            .collect()
         )
-        results = [
-            RankedResult(r["video_id"], r["frame_idx"], tuple(r["bbox"]), float(r["score"]))
-            for r in hits
-        ]
-        return BaselineResult(query.qid, results, time.perf_counter() - t0)

@@ -18,8 +18,7 @@ import time
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.baselines.base import Baseline, BaselineResult
-from repro.core.metrics import RankedResult
+from repro.baselines.base import Baseline
 from repro.queries.workload import Query
 from repro.vocab.vocabulary import MSCOCO_CLASSES, tag_name
 
@@ -47,31 +46,17 @@ class Vocal(Baseline):
         )
         # detector confidence: deterministic pseudo-random per patch
         dets = dets.withColumn(
-            "conf", F.pmod(F.xxhash64("patch_id"), F.lit(10000)) / 10000.0
+            "score", F.pmod(F.xxhash64("patch_id"), F.lit(10000)) / 10000.0
         )
         self.index = dets.persist()
         self.index.count()
         self.processing_time = time.perf_counter() - t0
         return self.processing_time
 
-    def query(self, query: Query, *, k: int = 50) -> BaselineResult:
-        t0 = time.perf_counter()
+    def search(self, query: Query) -> DataFrame | None:
         head = query.class_tags[0] if query.class_tags else None
-        rows = []
-        if head is not None and tag_name(head) in MSCOCO_CLASSES:
-            hits = (
-                self.index.filter(F.col("cls").contains(head))
-                .orderBy(F.desc("conf"))
-                .limit(k)
-                .collect()
-            )
-            rows = [
-                RankedResult(
-                    video_id=r["video_id"],
-                    frame_idx=r["frame_idx"],
-                    bbox=tuple(r["bbox"]),
-                    score=float(r["conf"]),
-                )
-                for r in hits
-            ]
-        return BaselineResult(query.qid, rows, time.perf_counter() - t0)
+        if head is None or tag_name(head) not in MSCOCO_CLASSES:
+            return None  # unseen class: the static index cannot answer
+        return self.index.filter(F.col("cls").contains(head)).select(
+            "video_id", "frame_idx", "bbox", "score"
+        )

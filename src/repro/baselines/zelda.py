@@ -16,11 +16,9 @@ import time
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.baselines.base import Baseline, BaselineResult
-from repro.core.metrics import RankedResult
+from repro.baselines.base import Baseline
 from repro.queries.workload import Query
 from repro.vocab.encoders import CoarseTextEncoder, perceived_track_tags
 from repro.vocab.vocabulary import Vocabulary
@@ -102,8 +100,7 @@ class Zelda(Baseline):
         self.processing_time = time.perf_counter() - t0
         return self.processing_time
 
-    def query(self, query: Query, *, k: int = 50) -> BaselineResult:
-        t0 = time.perf_counter()
+    def search(self, query: Query) -> DataFrame:
         enc = CoarseTextEncoder(self.vocab, rel_weight=0.3)
         q = enc.encode(list(query.tags))
         bq = self.spark.sparkContext.broadcast(q)
@@ -117,20 +114,10 @@ class Zelda(Baseline):
                     {
                         "video_id": pdf["video_id"],
                         "frame_idx": pdf["frame_idx"],
-                        "big_bbox": pdf["big_bbox"],
+                        "bbox": pdf["big_bbox"],
                         "score": X @ bq.value,
                     }
                 )
 
-        schema = "video_id int, frame_idx int, big_bbox array<double>, score double"
-        hits = (
-            self.frames.mapInPandas(_score, schema=schema)
-            .orderBy(F.desc("score"), F.asc("video_id"), F.asc("frame_idx"))
-            .limit(k)
-            .collect()
-        )
-        results = [
-            RankedResult(r["video_id"], r["frame_idx"], tuple(r["big_bbox"]), float(r["score"]))
-            for r in hits
-        ]
-        return BaselineResult(query.qid, results, time.perf_counter() - t0)
+        schema = "video_id int, frame_idx int, bbox array<double>, score double"
+        return self.frames.mapInPandas(_score, schema=schema)

@@ -1,7 +1,14 @@
 """LOVO core: video summary → vector index → two-stage query (Alg. 2)."""
 from repro.core.config import LOVOConfig
-from repro.core.metrics import iou, average_precision, RankedResult, EvalReport
-from repro.core.pipeline import LOVO, QueryResult
+from repro.core.metrics import (
+    EvalReport,
+    QueryResult,
+    RankedResult,
+    average_precision,
+    iou,
+    top_k,
+)
+from repro.core.pipeline import LOVO
 
 __all__ = [
     "LOVOConfig",
@@ -11,4 +18,5 @@ __all__ = [
     "EvalReport",
     "LOVO",
     "QueryResult",
+    "top_k",
 ]

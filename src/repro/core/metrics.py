@@ -1,4 +1,8 @@
-"""Evaluation metrics: IoU and Average Precision (§VII-A).
+"""Query results and evaluation metrics: IoU and Average Precision (§VII-A).
+
+``QueryResult`` is the one result type every system returns — LOVO and
+the six baselines alike — and ``top_k`` is the one path that turns a
+scored DataFrame into its ranked ``RankedResult`` list.
 
 A retrieved box is a positive match when its intersection-over-union
 with a ground-truth box exceeds 0.5 (MSCOCO convention); AveP is the
@@ -8,9 +12,11 @@ by the number of ground-truth objects.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from pyspark.sql import DataFrame, Row
+from pyspark.sql import functions as F
 
 
 @dataclass(frozen=True)
@@ -21,6 +27,48 @@ class RankedResult:
     frame_idx: int
     bbox: tuple[float, float, float, float]
     score: float
+
+
+@dataclass
+class QueryResult:
+    """Ranked detections plus per-phase latency for one query.
+
+    A single-stage system (every baseline, LOVO without rerank) reports
+    all of its search time as ``fast_time``.
+    """
+
+    qid: str
+    results: list[RankedResult]
+    fast_time: float
+    rerank_time: float = 0.0
+
+    @property
+    def search_time(self) -> float:
+        return self.fast_time + self.rerank_time
+
+
+def to_ranked(
+    rows: Iterable[Row], *, score: str = "score", bbox: str = "bbox"
+) -> list[RankedResult]:
+    """Collected ``video_id, frame_idx, <bbox>, <score>`` rows → results."""
+    return [
+        RankedResult(r["video_id"], r["frame_idx"], tuple(r[bbox]), float(r[score]))
+        for r in rows
+    ]
+
+
+def top_k(scored: DataFrame, k: int, *, score: str = "score") -> list[RankedResult]:
+    """The ``k`` best rows of ``scored`` (``video_id, frame_idx, bbox, <score>``).
+
+    Ties on ``score`` break by ``video_id`` then ``frame_idx``, not by
+    how ``scored`` happens to be partitioned.
+    """
+    rows = (
+        scored.orderBy(F.desc(score), F.asc("video_id"), F.asc("frame_idx"))
+        .limit(k)
+        .collect()
+    )
+    return to_ranked(rows, score=score)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ the relation tags the coarse fast-search encoder dropped:
 * frame score ``l_s``: mean over text tokens of the best-matching image
   token similarity (every queried concept must be found *somewhere* in
   the frame — this is what demotes missing-relation distractors);
-* decoder: the best image token's patch provides the output bounding
-  box, reproducing "outputs the frames with the bounding boxes".
+* decoder: the patch whose tokens best cover the whole query provides
+  the output bounding box, reproducing "outputs the frames with the
+  bounding boxes" (``score_frame`` runs both steps for one frame).
 
 Runs as ``applyInPandas`` grouped by frame — the paper's per-frame
 rerank map — burning calibrated cross-modal-transformer FLOPs per frame.
@@ -81,17 +82,6 @@ def enhance(
     return Xi @ Xt.T  # (n_image_tokens, n_text_tokens)
 
 
-def cross_attention_score(
-    X_I: np.ndarray, X_T: np.ndarray, *, mix: float = 0.5, temp: float = 12.0
-) -> tuple[float, int]:
-    """Frame score ``l_s`` + globally best image-token row (Alg. 2 line 6)."""
-    S = enhance(X_I, X_T, mix=mix, temp=temp)
-    per_text_best = S.max(axis=0)  # each concept's best match in the frame
-    score = float(per_text_best.mean())
-    best_row = int(S.mean(axis=1).argmax())
-    return score, best_row
-
-
 def decode_best_patch(S: np.ndarray, owners: list[int]) -> int:
     """Decoder (§VI-B): the patch whose tokens best cover the query.
 
@@ -108,6 +98,17 @@ def decode_best_patch(S: np.ndarray, owners: list[int]) -> int:
         if s > best_score:
             best_patch, best_score = pid, s
     return best_patch
+
+
+def score_frame(
+    X_I: np.ndarray, X_T: np.ndarray, owners: list[int]
+) -> tuple[float, int]:
+    """One frame's rerank: score ``l_s`` and the decoded best patch id.
+
+    ``owners[i]`` is the patch id of image token ``X_I[i]``.
+    """
+    S = enhance(X_I, X_T)
+    return float(S.max(axis=0).mean()), decode_best_patch(S, owners)
 
 
 def rerank_frames(
@@ -145,10 +146,7 @@ def rerank_frames(
                 rows.append(v / max(np.linalg.norm(v), 1e-12))
                 owners.append(int(pid))
         if rows:
-            X_I = np.stack(rows)
-            S = enhance(X_I, X_T)
-            score = float(S.max(axis=0).mean())
-            best_pid = decode_best_patch(S, owners)
+            score, best_pid = score_frame(np.stack(rows), X_T, owners)
         else:  # every token dropped: score the frame as irrelevant
             score = -1.0
             best_pid = int(pdf["patch_id"].iloc[0])

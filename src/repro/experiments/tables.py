@@ -39,10 +39,14 @@ def _dataset(spark: SparkSession, name: str, sf: float):
     return prof, patches
 
 
-def _k_for(patches, query: Query, cap: int = 150) -> tuple[int, object]:
+def k_for(patches, query: Query) -> tuple[int, object]:
+    """Query budget (§VII-A): k = 10×|GT| tracks, within [10, 150].
+
+    Returns ``(k, gt)`` with ``gt`` the query's ground-truth objects.
+    """
     gt = gt_objects_pdf(patches, query)
     n_gt = int(gt["track_id"].nunique())
-    return max(10, min(10 * n_gt, cap)), gt
+    return max(10, min(10 * n_gt, 150)), gt
 
 
 def format_rows(rows: Iterable[dict], *, floatfmt: str = "{:.2f}") -> str:
@@ -89,7 +93,7 @@ def run_table1(spark: SparkSession, *, sf: float = 0.3, cost_scale: float = 0.0)
     rows = []
     avep = {}
     for level, q in levels.items():
-        k, gt = _k_for(patches, q)
+        k, gt = k_for(patches, q)
         def ap(b):
             return evaluate_ranking(b.query(q, k=k).results, gt).avep
         avep[level] = {
@@ -166,17 +170,11 @@ def run_table3(
             sysm, ptime = systems[name]
             stimes, aveps = [], []
             for q in qs:
-                k, gt = _k_for(patches, q)
-                if name == "LOVO":
-                    r = sysm.query(q, k=k)
-                    stimes.append(r.search_time)
-                    res = r.results
-                else:
-                    r = sysm.query(q, k=k)
-                    stimes.append(r.search_time)
-                    res = r.results
+                k, gt = k_for(patches, q)
+                r = sysm.query(q, k=k)
+                stimes.append(r.search_time)
                 if with_accuracy:
-                    aveps.append(evaluate_ranking(res, gt).avep)
+                    aveps.append(evaluate_ranking(r.results, gt).avep)
             search = sum(stimes) / len(stimes)
             row = {
                 "Method": name,
@@ -234,7 +232,7 @@ def run_table4(
         for qid in qids:
             q = query_by_id(qid)
             patches, full, nokf = built[q.dataset]
-            k, gt = _k_for(patches, q)
+            k, gt = k_for(patches, q)
             if variant == "LOVO":
                 r = full.query(q, k=k)
             elif variant == "w/o Rerank":
@@ -279,7 +277,7 @@ def run_table5(
         row_to = {"Variant": label, "Metric": "Total"}
         for qid in qids:
             q = query_by_id(qid)
-            k, gt = _k_for(patches, q)
+            k, gt = k_for(patches, q)
             r = system.query(q, variant=variant, k=k)
             row_ap[qid] = evaluate_ranking(r.results, gt).avep
             row_se[qid] = r.search_time
@@ -305,7 +303,7 @@ def run_table7(spark: SparkSession, *, sf: float = 0.5, cost_scale: float = 0.0)
     row_se = {"Method": "LOVO", "Metric": "Search"}
     row_to = {"Method": "LOVO", "Metric": "Total"}
     for q in EXTENSION_QUERIES:
-        k, gt = _k_for(patches, q)
+        k, gt = k_for(patches, q)
         r = system.query(q, k=k)
         row_ap[q.qid] = evaluate_ranking(r.results, gt).avep
         row_se[q.qid] = r.search_time

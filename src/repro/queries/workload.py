@@ -30,6 +30,17 @@ class Query:
     tags: tuple[str, ...]
     complexity: str = "normal"
 
+    def __post_init__(self):
+        if not self.tags:
+            raise ValueError(f"query {self.qid}: no tags")
+        prefixes = tuple(f"{k.value}:" for k in TagKind)
+        for t in self.tags:
+            if not t.startswith(prefixes):
+                raise ValueError(
+                    f"query {self.qid}: tag {t!r} has none of the prefixes "
+                    + "/".join(prefixes)
+                )
+
     def tags_of(self, *kinds: TagKind) -> tuple[str, ...]:
         return tuple(t for t in self.tags if tag_kind(t) in kinds)
 

@@ -4,10 +4,11 @@ Ground-truth semantics: an object *track* matches a query iff its tag
 set is a superset of the query's tags (class + attributes + relations).
 A retrieved ``(video, frame, bbox)`` at some rank is a true positive
 when that frame contains a not-yet-matched ground-truth track whose box
-has IoU > 0.5 with the retrieved box; re-retrievals of an already
-matched track count as false positives (standard detection-AP rule), so
-AveP rewards retrieving *diverse* true objects, as in §VII-A where the
-top 10×|GT| results are scored against labelled tracks.
+has IoU > 0.5 with the retrieved box. A re-retrieval of an already
+matched track is ignored, neither true nor false positive (standard
+detection-benchmark rule for re-detections: an object persists across
+key frames), so AveP counts each true object once, as in §VII-A where
+the top 10×|GT| results are scored against labelled tracks.
 """
 from __future__ import annotations
 

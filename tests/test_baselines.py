@@ -41,7 +41,8 @@ class TestEveryBaseline:
         assert len(r.results) <= 15
 
     def test_search_time_positive(self, processed, name):
-        assert processed[name].query(query_by_id("Q2.1"), k=10).search_time > 0
+        r = processed[name].query(query_by_id("Q2.1"), k=10)
+        assert r.search_time > 0 and r.search_time == r.fast_time
 
     def test_boxes_valid(self, processed, name):
         for x in processed[name].query(query_by_id("Q2.3"), k=15).results:
@@ -53,6 +54,14 @@ class TestEveryBaseline:
         a = [(r.video_id, r.frame_idx) for r in processed[name].query(q, k=10).results]
         b = [(r.video_id, r.frame_idx) for r in processed[name].query(q, k=10).results]
         assert a == b
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("name", ["lovo", *ALL_NAMES])
+def test_nonpositive_k_rejected(processed, lovo_built, name, k):
+    system = lovo_built[0] if name == "lovo" else processed[name]
+    with pytest.raises(ValueError, match="k must be positive"):
+        system.query(query_by_id("Q2.3"), k=k)
 
 
 class TestVocal:

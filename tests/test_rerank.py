@@ -6,10 +6,10 @@ from pyspark.sql import functions as F
 from repro.core.rerank import (
     _normalize,
     _softmax,
-    cross_attention_score,
     decode_best_patch,
     enhance,
     rerank_frames,
+    score_frame,
 )
 from repro.queries.workload import query_by_id
 from repro.vocab.encoders import FineTextEncoder
@@ -42,6 +42,11 @@ def _frame_tokens(vocab, obj_tags_list, seed=0, n_bg=20):
     return np.stack(rows), owners
 
 
+def _score(vocab, obj_tags_list, X_T, seed):
+    X_I, owners = _frame_tokens(vocab, obj_tags_list, seed=seed)
+    return score_frame(X_I, X_T, owners)[0]
+
+
 class TestNumerics:
     def test_softmax_rows_sum_to_one(self):
         s = _softmax(np.random.default_rng(0).standard_normal((5, 7)))
@@ -72,31 +77,25 @@ class TestEnhance:
     )
     def test_exact_match_beats_partial_and_unrelated(self, vocab, qtags):
         X_T = FineTextEncoder(vocab).encode_tokens(qtags)
-        exact, _ = _frame_tokens(vocab, [list(qtags)], seed=1)
-        partial, _ = _frame_tokens(vocab, [list(qtags[:1])], seed=2)
-        unrelated, _ = _frame_tokens(vocab, [["class:dog"]], seed=3)
-        s_exact = enhance(exact, X_T).max(axis=0).mean()
-        s_partial = enhance(partial, X_T).max(axis=0).mean()
-        s_unrel = enhance(unrelated, X_T).max(axis=0).mean()
+        s_exact = _score(vocab, [list(qtags)], X_T, seed=1)
+        s_partial = _score(vocab, [list(qtags[:1])], X_T, seed=2)
+        s_unrel = _score(vocab, [["class:dog"]], X_T, seed=3)
         assert s_exact > s_partial > s_unrel
 
     def test_missing_relation_demoted(self, vocab):
         """The ablation mechanism: rerank sees relations fast search cannot."""
         qtags = ["class:car", "attr:red", "rel:side_by_side"]
         X_T = FineTextEncoder(vocab).encode_tokens(qtags)
-        with_rel, _ = _frame_tokens(vocab, [qtags], seed=4)
-        without_rel, _ = _frame_tokens(vocab, [["class:car", "attr:red"]], seed=5)
-        assert (
-            enhance(with_rel, X_T).max(axis=0).mean()
-            > enhance(without_rel, X_T).max(axis=0).mean()
-        )
+        with_rel = _score(vocab, [qtags], X_T, seed=4)
+        without_rel = _score(vocab, [["class:car", "attr:red"]], X_T, seed=5)
+        assert with_rel > without_rel
 
-    def test_cross_attention_score_returns_row(self, vocab):
+    def test_score_frame_returns_decoded_patch(self, vocab):
         X_I, owners = _frame_tokens(vocab, [["class:bus", "attr:green"]])
         X_T = FineTextEncoder(vocab).encode_tokens(["class:bus", "attr:green"])
-        score, row = cross_attention_score(X_I, X_T)
-        assert 0 <= row < len(X_I)
+        score, patch = score_frame(X_I, X_T, owners)
         assert -1.0 <= score <= 1.0
+        assert patch == decode_best_patch(enhance(X_I, X_T), owners) == 1000
 
 
 class TestDecodeBestPatch:

@@ -4,6 +4,7 @@ import pytest
 from repro.queries.workload import (
     ALL_QUERIES,
     EXTENSION_QUERIES,
+    Query,
     queries_for_dataset,
     query_by_id,
 )
@@ -63,3 +64,13 @@ def test_q22_matches_paper_text():
 
 def test_extension_queries_are_activitynet():
     assert all(q.dataset == "activitynet" for q in EXTENSION_QUERIES)
+
+
+def test_query_without_tags_rejected():
+    with pytest.raises(ValueError, match="query QX: no tags"):
+        Query("QX", "bellevue", "anything", ())
+
+
+def test_unprefixed_tag_rejected():
+    with pytest.raises(ValueError, match="query QX: tag 'red'"):
+        Query("QX", "bellevue", "a red car", ("class:car", "red"))
